@@ -13,10 +13,15 @@ residue.  Every node of the tree is one profile; hom mass (product of local
 surjection counts) and sur mass (same, when the images generate the target)
 are tallied in a single pass, sliced by the tame omega-meeting count gamma.
 
+One walker, ``walk_task``, visits the profiles of a task and hands each to
+a pluggable sink: ``run_task`` buckets them into checkpoint diffs for the
+census table, ``count_by_index`` keeps per-value coefficients.
+
 Work is split into deterministic tasks — (wild-image combination) x (residue
 of the first assigned tame prime's position, mod TASK_BUCKETS) — that merge
 by pointwise integer addition, so results are identical for any worker
-count or schedule.
+count or schedule.  Worker processes are forked from the caller and inherit
+its context, so they read no prime table of their own.
 """
 
 from __future__ import annotations
@@ -31,15 +36,7 @@ from math import gcd, log, prod
 from typing import Callable, Iterable, Sequence
 
 from .errors import CensusError, ParamError, ResourceCapError
-from .groups import (
-    AbelianGroup,
-    OmegaSet,
-    ParamVector,
-    make_group,
-    make_params,
-    omega_from_classes,
-    x_of_subgroup,
-)
+from .groups import AbelianGroup, OmegaSet, ParamVector, x_of_subgroup
 from .local_counts import SurTable, wild_images
 from .sieve import PrimeTable, load_prime_table
 
@@ -494,36 +491,6 @@ class CensusContext:
             for bucket in range(TASK_BUCKETS + 1)
         ]
 
-    def payload(self) -> dict:
-        """Picklable description from which a worker can rebuild the context."""
-        return {
-            "factors": list(self.G.invariant_factors),
-            "params": [str(v) for v in self.x.values],
-            "omega_classes": list(self.omega.class_indices),
-            "bound": str(self.bound),
-            "checkpoints": [str(c) for c in self.checkpoints],
-            "power": str(self.power),
-            "target_id": self.target_id,
-            "prime_limit": self.prime_table.limit,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict, cache_dir=None) -> "CensusContext":
-        G = make_group(payload["factors"])
-        x = make_params(G, payload["params"])
-        omega = omega_from_classes(G, payload["omega_classes"])
-        return cls(
-            G,
-            x,
-            omega,
-            bound=Fraction(payload["bound"]),
-            checkpoints=[Fraction(c) for c in payload["checkpoints"]],
-            power=Fraction(payload["power"]),
-            target_id=payload["target_id"],
-            prime_table=load_prime_table(payload["prime_limit"], cache_dir=cache_dir),
-            cache_dir=cache_dir,
-        )
-
     def empty_diffs(self) -> tuple[list[list[int]], list[list[int]]]:
         width = self.gamma_cap + 2  # slices 0..cap, then the unsliced bucket
         n = len(self.thresholds)
@@ -542,46 +509,41 @@ def _phi_order(n: int) -> int:
 # -- the depth-first walk ----------------------------------------------------------
 
 
-def run_task(
+def walk_task(
     ctx: CensusContext,
     task: tuple[int, int],
-    diff_sur: list[list[int]],
-    diff_hom: list[list[int]],
+    visit: Callable[[int, int, int, bool, int], None],
     node_budget: int | None = None,
 ) -> int:
-    """Run one task, accumulating bucketed counts; returns nodes visited.
+    """Walk the profiles of one task depth-first; returns nodes visited.
 
-    ``diff_*[k][slot]`` receives the weight of profiles whose value first
-    drops below thresholds[k]; slots are gamma 0..cap plus the trailing
-    unsliced bucket.  Final tables are prefix sums over k.
+    ``visit(v, w, gamma_tame, wild_meets, join_id)`` is called once per
+    profile with value below the largest threshold.  Raises
+    ResourceCapError once more than ``node_budget`` nodes are visited.
     """
     combo_index, bucket = task
     combo = ctx.wild_combo(combo_index)
     if combo is None:
         return 0
     v0, w0, jid0, wm0 = combo
-    thresholds = ctx.thresholds
+    if bucket == TASK_BUCKETS:
+        # the wild-only profile of this combination (the root, for combo 0)
+        visit(v0, w0, 0, wm0, jid0)
+        return 1
+    e_min = ctx.e_min_tame
+    if e_min is None:
+        return 0
     t_max = ctx.t_max
-    target = ctx.target_id
     primes = ctx.primes
     opt_rows = ctx.options_for_prime
     n = len(primes)
-    e_min = ctx.e_min_tame
-    unsliced = ctx.gamma_cap + 1
     join_memo = ctx._join_memo
     group_join = ctx.G.join_id
     nodes = 0
 
-    def emit(v: int, w: int, g: int, wm: bool, jid: int) -> None:
-        k = bisect_right(thresholds, v)
-        slot = g if g else (unsliced if wm else 0)
-        diff_hom[k][slot] += w
-        if jid == target:
-            diff_sur[k][slot] += w
-
-    def rec(i0: int, v: int, w: int, g: int, jid: int) -> None:
+    def rec(indices: range, v: int, w: int, g: int, jid: int) -> None:
         nonlocal nodes
-        for i in range(i0, n):
+        for i in indices:
             p = primes[i]
             if v * p**e_min >= t_max:
                 break
@@ -601,100 +563,45 @@ def run_task(
                     join_memo[key] = jid2
                 w2 = w * wt
                 g2 = g + meets
-                emit(v2, w2, g2, wm0, jid2)
-                rec(i + 1, v2, w2, g2, jid2)
+                visit(v2, w2, g2, wm0, jid2)
+                rec(range(i + 1, n), v2, w2, g2, jid2)
 
-    if bucket == TASK_BUCKETS:
-        # the wild-only profile of this combination (the root, for combo 0)
-        nodes += 1
-        emit(v0, w0, 0, wm0, jid0)
-        return nodes
-    if e_min is None:
-        return nodes
-    for i in range(bucket, n, TASK_BUCKETS):
-        p = primes[i]
-        if v0 * p**e_min >= t_max:
-            break
-        for e, wt, meets, hid in opt_rows[i]:
-            v2 = v0 * p**e
-            if v2 >= t_max:
-                break
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise ResourceCapError(
-                    f"node budget {node_budget} exceeded in task {task}"
-                )
-            jid2 = ctx.join(jid0, hid)
-            w2 = w0 * wt
-            g2 = meets * 1
-            emit(v2, w2, g2, wm0, jid2)
-            rec(i + 1, v2, w2, g2, jid2)
+    # the task's bucket fixes the first tame prime's position mod TASK_BUCKETS
+    rec(range(bucket, n, TASK_BUCKETS), v0, w0, 0, jid0)
     return nodes
 
 
-def collect_task(
+def run_task(
     ctx: CensusContext,
     task: tuple[int, int],
-    visit: Callable[[int, int, int, bool, int], None],
-) -> None:
-    """Like run_task but handing every profile to ``visit``.
+    diff_sur: list[list[int]],
+    diff_hom: list[list[int]],
+    node_budget: int | None = None,
+) -> int:
+    """Run one task, accumulating bucketed counts; returns nodes visited.
 
-    ``visit(v, w, gamma_tame, wild_meets, join_id)`` is called once per
-    profile with value below the largest threshold.
+    ``diff_*[k][slot]`` receives the weight of profiles whose value first
+    drops below thresholds[k]; slots are gamma 0..cap plus the trailing
+    unsliced bucket.  Final tables are prefix sums over k.
     """
-    combo_index, bucket = task
-    combo = ctx.wild_combo(combo_index)
-    if combo is None:
-        return
-    v0, w0, jid0, wm0 = combo
-    t_max = ctx.t_max
-    primes = ctx.primes
-    opt_rows = ctx.options_for_prime
-    n = len(primes)
-    e_min = ctx.e_min_tame
+    thresholds = ctx.thresholds
+    target = ctx.target_id
+    unsliced = ctx.gamma_cap + 1
 
-    def rec(i0: int, v: int, w: int, g: int, jid: int) -> None:
-        for i in range(i0, n):
-            p = primes[i]
-            if v * p**e_min >= t_max:
-                break
-            for e, wt, meets, hid in opt_rows[i]:
-                v2 = v * p**e
-                if v2 >= t_max:
-                    break
-                jid2 = ctx.join(jid, hid)
-                w2 = w * wt
-                g2 = g + meets
-                visit(v2, w2, g2, wm0, jid2)
-                rec(i + 1, v2, w2, g2, jid2)
+    def emit(v: int, w: int, g: int, wm: bool, jid: int) -> None:
+        k = bisect_right(thresholds, v)
+        slot = g if g else (unsliced if wm else 0)
+        diff_hom[k][slot] += w
+        if jid == target:
+            diff_sur[k][slot] += w
 
-    if bucket == TASK_BUCKETS:
-        visit(v0, w0, 0, wm0, jid0)
-        return
-    if e_min is None:
-        return
-    for i in range(bucket, n, TASK_BUCKETS):
-        p = primes[i]
-        if v0 * p**e_min >= t_max:
-            break
-        for e, wt, meets, hid in opt_rows[i]:
-            v2 = v0 * p**e
-            if v2 >= t_max:
-                break
-            jid2 = ctx.join(jid0, hid)
-            visit(v2, w0 * wt, meets * 1, wm0, jid2)
-            rec(i + 1, v2, w0 * wt, meets * 1, jid2)
-    return
+    return walk_task(ctx, task, emit, node_budget)
 
 
 # -- multiprocessing glue -----------------------------------------------------------
 
+# Set by enumerate_census while its fork pool runs; workers inherit it.
 _WORKER_CTX: CensusContext | None = None
-
-
-def _worker_init(payload: dict) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = CensusContext.from_payload(payload)
 
 
 def _worker_run(task: tuple[int, int]) -> tuple[tuple[int, int], list, list, int]:
@@ -811,22 +718,25 @@ def enumerate_census(
             if on_task is not None:
                 on_task(task, part_sur, part_hom)
     else:
+        global _WORKER_CTX
         mp = multiprocessing.get_context("fork")
         results: dict[tuple[int, int], tuple[list, list]] = {}
         total_nodes = 0
         exceeded = False
-        with mp.Pool(
-            processes=threads, initializer=_worker_init, initargs=(ctx.payload(),)
-        ) as pool:
-            for task, part_sur, part_hom, nodes in pool.imap_unordered(
-                _worker_run, pending, chunksize=1
-            ):
-                results[task] = (part_sur, part_hom)
-                total_nodes += nodes
-                if node_budget is not None and total_nodes > node_budget:
-                    exceeded = True
-                    pool.terminate()
-                    break
+        _WORKER_CTX = ctx
+        try:
+            with mp.Pool(processes=threads) as pool:
+                for task, part_sur, part_hom, nodes in pool.imap_unordered(
+                    _worker_run, pending, chunksize=1
+                ):
+                    results[task] = (part_sur, part_hom)
+                    total_nodes += nodes
+                    if node_budget is not None and total_nodes > node_budget:
+                        exceeded = True
+                        pool.terminate()
+                        break
+        finally:
+            _WORKER_CTX = None
         # merge in deterministic task order regardless of completion order
         for task in pending:
             if task not in results:
@@ -890,7 +800,7 @@ def count_by_index(
         coeffs[v] = coeffs.get(v, 0) + w
 
     for task in ctx.tasks():
-        collect_task(ctx, task, visit)
+        walk_task(ctx, task, visit)
     if not as_index_values:
         return coeffs
     primes = ctx.prime_table.primes.tolist()

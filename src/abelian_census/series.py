@@ -7,19 +7,23 @@ tree walk), pi by surjective profile enumeration, psi and tau are the
 admissible-partition upper bound and the witness-anchored lower bound that
 sandwich pi coefficientwise.
 
-The convolution engine runs dense (numpy int64 with a non-negativity and
-magnitude guard, falling back automatically) or sparse (dict of Python
-ints, overflow-free) depending on the truncation size.
+One row builder, ``_census_rows``, turns a census context and a slice
+choice into Euler-factor rows; mu, psi and the summatory counts all
+convolve its rows.  The convolution engine runs dense (numpy int64 with a
+non-negativity and magnitude guard) or sparse (dict of Python ints,
+overflow-free) depending on the truncation size, and logs a warning when it
+leaves the dense path.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gamma as _gamma_function
 from math import log
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -223,7 +227,13 @@ def _convolve_raw(
             int(a.max()) < 1 << 55 for a in st
         ):
             return st
-        # magnitude guard tripped: redo exactly with Python integers
+        reason = "the int64 magnitude guard tripped"
+    else:
+        reason = f"T * states exceeds the dense cell cap {cell_cap}"
+    logging.getLogger("abelian_census.series").warning(
+        "convolution falls back to exact dicts: T=%d, %d states, %s",
+        T, n_states, reason,
+    )
     st2: list[dict[int, int]] = [dict() for _ in range(n_states)]
     st2[0][1] = 1
     for opts in factors_fn():
@@ -231,47 +241,42 @@ def _convolve_raw(
     return st2
 
 
-def _convolve_euler(
-    T: int,
-    factors: Iterable[Sequence[tuple[int, int, bool]]],
-    n_states: int,
-) -> list[dict[int, int]]:
-    """As _convolve_raw, but on a plain iterable and returning dicts."""
-    factor_list = list(factors)
-    states = _convolve_raw(T, lambda: factor_list, n_states)
-    out: list[dict[int, int]] = []
-    for a in states:
-        if isinstance(a, dict):
-            out.append(a)
-        else:
-            nz = np.nonzero(a)[0]
-            out.append({int(v): int(c) for v, c in zip(nz, a[nz])})
-    return out
+def _coefficients(state) -> dict[int, int]:
+    """One convolved state as a map of its nonzero coefficients."""
+    if isinstance(state, dict):
+        return state
+    nz = np.nonzero(state)[0]
+    return {int(v): int(c) for v, c in zip(nz, state[nz])}
 
 
-def _census_factors(
-    ctx: CensusContext, keep_meeting_wild: bool, keep_meeting_tame: bool
-):
-    """Euler factor streams for the context's wild and tame primes.
+def _census_rows(ctx: CensusContext, gamma: int | None):
+    """Euler-factor rows of the context's primes for one slice choice.
 
-    Meeting tame options are marked as advancing; meeting wild options are
-    either included (non-advancing) or dropped entirely.
+    Returns (rows_fn, n_states), where ``rows_fn()`` yields one row of
+    options (pe, weight, advances) per wild prime, then per usable tame
+    prime.  ``gamma`` None (or an empty omega) keeps every option in one
+    state; 0 drops every option that meets omega; g >= 1 keeps everything
+    in g + 1 states, the tame options that meet omega advancing.
     """
-    for opts in ctx.wild_options:
-        row = [
-            (pe, w, False)
-            for (pe, w, meets, _sid) in opts
-            if keep_meeting_wild or not meets
-        ]
-        yield row
-    for i in range(len(ctx.primes)):
-        p = ctx.primes[i]
-        row = []
-        for e, w, meets, _sid in ctx.options_for_prime[i]:
-            if meets and not keep_meeting_tame:
-                continue
-            row.append((p**e, w, meets))
-        yield row
+    if gamma is None or ctx.omega.is_empty():
+        keep_meeting, n_states = True, 1
+    elif gamma == 0:
+        keep_meeting, n_states = False, 1
+    else:
+        keep_meeting, n_states = True, gamma + 1
+    advance = n_states > 1
+
+    def rows_fn():
+        for opts in ctx.wild_options:
+            yield [(pe, w, False) for pe, w, meets, _ in opts if keep_meeting or not meets]
+        for p, opts in zip(ctx.primes, ctx.options_for_prime):
+            yield [
+                (p**e, w, advance and meets)
+                for e, w, meets, _ in opts
+                if keep_meeting or not meets
+            ]
+
+    return rows_fn, n_states
 
 
 def mu_series(
@@ -297,15 +302,8 @@ def mu_series(
         prime_table=prime_table, cache_dir=cache_dir,
     )
     T = ctx.t_max
-    if omega.is_empty():
-        states = _convolve_euler(T, _census_factors(ctx, True, True), 1)
-        coeffs = states[0]
-    elif gamma == 0:
-        states = _convolve_euler(T, _census_factors(ctx, False, False), 1)
-        coeffs = states[0]
-    else:
-        states = _convolve_euler(T, _census_factors(ctx, True, True), gamma + 1)
-        coeffs = states[gamma]
+    rows_fn, n_states = _census_rows(ctx, gamma)
+    coeffs = _coefficients(_convolve_raw(T, rows_fn, n_states)[-1])
     return GeneratingSeries(
         label=f"mu[gamma={gamma}]",
         scale=ctx.scale,
@@ -342,39 +340,26 @@ def pi_series(
     )
 
 
-def _flat_rows(rows):
-    """Strip advance flags so every option keeps the state at zero."""
-    for row in rows:
-        yield [(pe, w, False) for (pe, w, _adv) in row]
+def _state_checkpoint_sums(state, thresholds) -> list[int]:
+    """Exact sums of one convolved state below each threshold.
 
-
-def _state_checkpoint_sums(states, thresholds) -> list[list[int]]:
-    out = []
-    for st in states:
-        if isinstance(st, dict):
-            out.append([sum(c for v, c in st.items() if v < t) for t in thresholds])
-        else:
-            out.append([int(st[: max(t, 0)].sum()) for t in thresholds])
-    return out
+    A dense state is summed in int64 slices short enough that no slice sum
+    can exceed 2**63 - 1, and the slice sums are added as Python ints.
+    """
+    if isinstance(state, dict):
+        return [sum(c for v, c in state.items() if v < t) for t in thresholds]
+    step = ((1 << 63) - 1) // max(int(state.max()), 1)
+    return [
+        sum(int(state[i : min(i + step, t)].sum()) for i in range(0, t, step))
+        for t in thresholds
+    ]
 
 
 def _hom_checkpoint_sums(ctx: CensusContext, gamma: int | None, cell_cap: int) -> list[int]:
     """Summatory hom-mass below each checkpoint for one slice (or total)."""
-    T = ctx.t_max
-    if ctx.omega.is_empty() or gamma is None:
-        states = _convolve_raw(
-            T, lambda: _flat_rows(_census_factors(ctx, True, True)), 1, cell_cap
-        )
-        return _state_checkpoint_sums(states, ctx.thresholds)[0]
-    if gamma == 0:
-        states = _convolve_raw(
-            T, lambda: _census_factors(ctx, False, False), 1, cell_cap
-        )
-        return _state_checkpoint_sums(states, ctx.thresholds)[0]
-    states = _convolve_raw(
-        T, lambda: _census_factors(ctx, True, True), gamma + 1, cell_cap
-    )
-    return _state_checkpoint_sums(states, ctx.thresholds)[gamma]
+    rows_fn, n_states = _census_rows(ctx, gamma)
+    states = _convolve_raw(ctx.t_max, rows_fn, n_states, cell_cap)
+    return _state_checkpoint_sums(states[-1], ctx.thresholds)
 
 
 def convolution_counts(
@@ -408,7 +393,7 @@ def convolution_counts(
         G, x, omega, bound=bound, checkpoints=checkpoints,
         prime_table=prime_table, cache_dir=cache_dir,
     )
-    n_states = 1 if (omega.is_empty() or gamma is None or gamma == 0) else gamma + 1
+    _, n_states = _census_rows(full_ctx, gamma)
     if full_ctx.t_max * n_states > SUMMATORY_CELL_CAP:
         raise ResourceCapError(
             f"truncation {full_ctx.t_max} with {n_states} slice states exceeds "
@@ -487,9 +472,10 @@ def psi_series(
     g_min, _ = gamma_x(G, x, omega)
     if gamma < g_min:
         raise ParamError(f"gamma={gamma} is below gamma_x={g_min}")
-    wild = _convolve_euler(T, _wild_rows(ctx, keep_meeting=True), 1)[0]
-    avoid = _convolve_euler(T, _tame_avoid_rows(ctx), 1)[0]
-    base = _series_mul(wild, avoid, T)
+    # every wild image times the omega-avoiding tame options: state 0 of the
+    # sliced rows, run with no room to advance
+    rows_fn, _ = _census_rows(ctx, 1)
+    base = _coefficients(_convolve_raw(T, rows_fn, 1)[0])
 
     xi = xi_classes(G, omega)
     max_parts = [max(comp[k] for comp in parts) for k in range(len(xi))]
@@ -517,25 +503,6 @@ def psi_series(
         truncation=T,
         coefficients={v: c for v, c in sorted(coeffs.items()) if c},
     )
-
-
-def _wild_rows(ctx: CensusContext, keep_meeting: bool):
-    for opts in ctx.wild_options:
-        yield [
-            (pe, w, False)
-            for (pe, w, meets, _sid) in opts
-            if keep_meeting or not meets
-        ]
-
-
-def _tame_avoid_rows(ctx: CensusContext):
-    for i in range(len(ctx.primes)):
-        p = ctx.primes[i]
-        yield [
-            (p**e, w, False)
-            for (e, w, meets, _sid) in ctx.options_for_prime[i]
-            if not meets
-        ]
 
 
 def _elementary_sums(

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from abelian_census import cli
-from abelian_census.errors import ConfigError, ResourceCapError
+from abelian_census.errors import CacheError, ConfigError, ResourceCapError
 
 GOOD_CONFIG = """
 # smoke configuration

@@ -240,10 +240,21 @@ def test_thread_count_does_not_change_results():
     assert serial == forked
 
 
-def test_node_budget_trips_resource_cap():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_node_budget_trips_resource_cap(threads):
     G, x, om, bound = _smoke_args()
     with pytest.raises(ResourceCapError):
-        ac.enumerate_census(G, x, om, bound, node_budget=5)
+        ac.enumerate_census(G, x, om, bound, node_budget=5, threads=threads)
+
+
+def test_workers_use_the_callers_cache_dir(tmp_path, monkeypatch):
+    env_dir = tmp_path / "env"
+    env_dir.mkdir()
+    monkeypatch.setenv("ABELIAN_CENSUS_CACHE", str(env_dir))
+    G, x, om, bound = _smoke_args()
+    ac.enumerate_census(G, x, om, bound, threads=2, cache_dir=tmp_path / "chosen")
+    assert list((tmp_path / "chosen").glob("primes_*.npy"))
+    assert list(env_dir.iterdir()) == []
 
 
 def test_resume_from_recorded_tasks():

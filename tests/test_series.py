@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import logging
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import abelian_census as ac
@@ -113,6 +115,27 @@ def test_mu_pi_partial_sums_match_convolution_path():
             t = X * mu.scale
             assert n_hom == sum(c for d, c in mu.coefficients.items() if d < t)
             assert n_sur == sum(c for d, c in pi.coefficients.items() if d < t)
+
+
+# -- the convolution engine's guards ------------------------------------------------------
+
+
+def test_checkpoint_sums_do_not_wrap_int64():
+    state = np.full(1025, 1 << 54, dtype=np.int64)
+    state[0] = 0
+    assert S._state_checkpoint_sums(state, [1, 2, 1025]) == [0, 1 << 54, 1 << 64]
+
+
+def test_dense_fallback_is_announced(caplog):
+    G, x, om = _cfg22()
+    ctx = ac.CensusContext(G, x, om, bound=Fraction(200), checkpoints=[Fraction(200)])
+    rows_fn, n_states = S._census_rows(ctx, 1)
+    with caplog.at_level(logging.WARNING, logger="abelian_census.series"):
+        sparse = S._convolve_raw(ctx.t_max, rows_fn, n_states, cell_cap=16)
+    assert "T=200, 2 states" in caplog.text
+    assert "cell cap 16" in caplog.text
+    dense = S._convolve_raw(ctx.t_max, rows_fn, n_states)
+    assert [S._coefficients(st) for st in sparse] == [S._coefficients(st) for st in dense]
 
 
 # -- singularity analysis ---------------------------------------------------------------
