@@ -95,6 +95,7 @@ from .series import (
     RatioTrend,
     SingularityData,
     convolution_counts,
+    convolution_table,
     delange_shape,
     fit_exponents,
     mu_series,
@@ -178,6 +179,7 @@ __all__ = [
     "psi_series",
     "tau_series",
     "convolution_counts",
+    "convolution_table",
     "singularity_data",
     "delange_shape",
     "fit_exponents",

@@ -31,7 +31,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, log, prod
 from typing import Callable, Iterable, Sequence
 
@@ -604,10 +604,12 @@ def run_task(
 _WORKER_CTX: CensusContext | None = None
 
 
-def _worker_run(task: tuple[int, int]) -> tuple[tuple[int, int], list, list, int]:
+def _worker_run(
+    task: tuple[int, int], node_budget: int | None
+) -> tuple[tuple[int, int], list, list, int]:
     assert _WORKER_CTX is not None
     diff_sur, diff_hom = _WORKER_CTX.empty_diffs()
-    nodes = run_task(_WORKER_CTX, task, diff_sur, diff_hom)
+    nodes = run_task(_WORKER_CTX, task, diff_sur, diff_hom, node_budget)
     return task, diff_sur, diff_hom, nodes
 
 
@@ -723,18 +725,23 @@ def enumerate_census(
         results: dict[tuple[int, int], tuple[list, list]] = {}
         total_nodes = 0
         exceeded = False
+        # each pooled task gets the whole budget; a task that trips it has
+        # visited node_budget + 1 nodes
+        run = partial(_worker_run, node_budget=node_budget)
         _WORKER_CTX = ctx
         try:
             with mp.Pool(processes=threads) as pool:
                 for task, part_sur, part_hom, nodes in pool.imap_unordered(
-                    _worker_run, pending, chunksize=1
+                    run, pending, chunksize=1
                 ):
                     results[task] = (part_sur, part_hom)
                     total_nodes += nodes
                     if node_budget is not None and total_nodes > node_budget:
                         exceeded = True
-                        pool.terminate()
                         break
+        except ResourceCapError:
+            exceeded = True
+            total_nodes += node_budget + 1
         finally:
             _WORKER_CTX = None
         # merge in deterministic task order regardless of completion order

@@ -7,12 +7,19 @@ tree walk), pi by surjective profile enumeration, psi and tau are the
 admissible-partition upper bound and the witness-anchored lower bound that
 sandwich pi coefficientwise.
 
+The summatory counts, the second counting route next to the census walk,
+come from the counted-leaf kernel: ``convolution_table`` visits only the
+internal profiles and counts the leaf primes below each one by binary
+search in per-residue prime arrays, so its cost grows like the number of
+internal profiles (about T**0.74 for C2) rather than with T.  Its int64
+sums are guarded and fall back to Python ints, with a warning, when a sum
+or a threshold could pass 2**63.
+
 One row builder, ``_census_rows``, turns a census context and a slice
-choice into Euler-factor rows; mu, psi and the summatory counts all
-convolve its rows.  The convolution engine runs dense (numpy int64 with a
-non-negativity and magnitude guard) or sparse (dict of Python ints,
-overflow-free) depending on the truncation size, and logs a warning when it
-leaves the dense path.
+choice into Euler-factor rows; mu and psi convolve its rows.  That
+convolution engine runs dense (numpy int64 with a non-negativity and
+magnitude guard) or sparse (dict of Python ints, overflow-free) depending
+on the truncation size, and logs a warning when it leaves the dense path.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from .profiles import (
     count_by_index,
     enumerate_census,
     geometric_checkpoints,
+    integer_nth_root,
     scaled_threshold,
     theta,
 )
@@ -62,6 +70,7 @@ __all__ = [
     "psi_series",
     "tau_series",
     "convolution_counts",
+    "convolution_table",
     "singularity_data",
     "delange_shape",
     "fit_exponents",
@@ -74,7 +83,8 @@ __all__ = [
 
 DENSE_CELL_CAP = 1 << 22
 TRUNCATION_CAP = 1 << 30
-SUMMATORY_CELL_CAP = 1 << 27
+LEAF_CHUNK_CELLS = 1 << 20  # node x threshold cells per leaf-count pass
+_INT64_BOUND = 1 << 63
 
 # Trend thresholds for ratio_R, calibrated on slice counts up to 1.6e7
 # (windows over X >= 1e4): a ratio converging to a positive constant
@@ -340,26 +350,308 @@ def pi_series(
     )
 
 
-def _state_checkpoint_sums(state, thresholds) -> list[int]:
-    """Exact sums of one convolved state below each threshold.
+# -- the counted-leaf kernel ----------------------------------------------------
+#
+# The summatory counts come from a depth-first walk over internal profiles
+# only: a profile whose largest tame prime could still be followed by
+# another.  Every other profile is a leaf, one prime beyond an internal
+# node, and the leaves below a node at value v are counted for every
+# threshold t at once: per residue class r mod |G| and option exponent e,
+# the primes p of class r past the node's last prime with p**e <= (t-1)//v,
+# one binary search in the class's sorted primes (the second phase of the
+# min_25 sieve).
 
-    A dense state is summed in int64 slices short enough that no slice sum
-    can exceed 2**63 - 1, and the slice sums are added as Python ints.
+
+def _pow_le(x: np.ndarray, e: int, q: np.ndarray) -> np.ndarray:
+    """Elementwise ``x**e <= q`` for int64 arrays with x >= 1, never overflowing."""
+    acc = np.ones_like(x)
+    ok = np.ones(x.shape, dtype=bool)
+    for _ in range(e):
+        ok &= acc <= q // x
+        acc = np.where(ok, acc * x, acc)
+    return ok
+
+
+def _iroot(q: np.ndarray, e: int, cap: int) -> np.ndarray:
+    """Exact floor(q ** (1/e)) of each entry, as int64.
+
+    An int64 ``q`` gets a float start corrected in integer arithmetic.  An
+    object array of Python ints (thresholds past int64) is rooted entry by
+    entry, each root capped at ``cap`` so that it fits int64.
     """
-    if isinstance(state, dict):
-        return [sum(c for v, c in state.items() if v < t) for t in thresholds]
-    step = ((1 << 63) - 1) // max(int(state.max()), 1)
-    return [
-        sum(int(state[i : min(i + step, t)].sum()) for i in range(0, t, step))
-        for t in thresholds
-    ]
+    if q.dtype == object:
+        flat = [min(integer_nth_root(n, e), cap) for n in q.ravel().tolist()]
+        return np.array(flat, dtype=np.int64).reshape(q.shape)
+    if e == 1:
+        return q
+    r = np.floor(np.power(q.astype(np.float64), 1.0 / e)).astype(np.int64)
+    while True:
+        up = _pow_le(r + 1, e, q)
+        down = (r > 0) & ~_pow_le(np.maximum(r, 1), e, q)
+        if not (up.any() or down.any()):
+            return r
+        r += up
+        r -= down
 
 
-def _hom_checkpoint_sums(ctx: CensusContext, gamma: int | None, cell_cap: int) -> list[int]:
-    """Summatory hom-mass below each checkpoint for one slice (or total)."""
-    rows_fn, n_states = _census_rows(ctx, gamma)
-    states = _convolve_raw(ctx.t_max, rows_fn, n_states, cell_cap)
-    return _state_checkpoint_sums(states[-1], ctx.thresholds)
+def _weighted_leaf_sums(w: np.ndarray, counts: np.ndarray, warn) -> list[int]:
+    """Column sums of ``w[i] * counts[i, k]``, exact.
+
+    Summed in int64 when max(w) * max(counts) * rows stays below 2**63,
+    otherwise in Python ints after calling ``warn(reason)``.
+    """
+    if w.dtype != object and int(w.max()) * int(counts.max()) * len(w) < _INT64_BOUND:
+        return (w[:, None] * counts).sum(axis=0).tolist()
+    warn("a weighted leaf sum could pass int64")
+    return (w.astype(object)[:, None] * counts.astype(object)).sum(axis=0).tolist()
+
+
+class _LeafKernel:
+    """Counted-leaf hom sums of one census context, target by target.
+
+    Holds the tame primes up to the context's prime limit as one numpy
+    array, filtered per residue group on demand, and the context's wild
+    combinations; ``hom_slots`` runs the walk for one target subgroup.
+    """
+
+    def __init__(self, ctx: CensusContext):
+        self.ctx = ctx
+        if ctx.e_min_tame is not None and ctx.t_max > 1:
+            self.plimit = integer_nth_root(ctx.t_max - 1, ctx.e_min_tame)
+        else:
+            self.plimit = 0
+        self.primes = ctx.prime_table.up_to(max(self.plimit, 1))
+        self._residues = self.primes % ctx.G.order
+        self._by_residues: dict[tuple[int, ...], np.ndarray] = {}
+        self.combos = [
+            c for c in map(ctx.wild_combo, range(ctx.n_wild_combos)) if c is not None
+        ]
+        # leaf thresholds t - 1, in Python ints once they pass int64
+        self.big = ctx.t_max >= _INT64_BOUND
+        tq = [t - 1 for t in ctx.thresholds]
+        self.tq = np.array(tq, dtype=object if self.big else np.int64)
+        self.width = ctx.gamma_cap + 2
+        self.rows = max(1, LEAF_CHUNK_CELLS // len(tq))
+        self._warned: set[str] = set()
+        if self.big:
+            self.warn("thresholds reach 2**63")
+
+    def warn(self, reason: str) -> None:
+        if reason not in self._warned:
+            self._warned.add(reason)
+            logging.getLogger("abelian_census.series").warning(
+                "counted-leaf sums fall back to Python ints: T=%d, %s",
+                self.ctx.t_max, reason,
+            )
+
+    def primes_of(self, residues: tuple[int, ...]) -> np.ndarray:
+        hit = self._by_residues.get(residues)
+        if hit is None:
+            hit = self.primes[np.isin(self._residues, residues)]
+            self._by_residues[residues] = hit
+        return hit
+
+    def hom_slots(self, target: int, m_cap: int | None) -> list[list[int]]:
+        """Hom mass of profiles with images inside ``target``, per slot.
+
+        Returns rows[k][slot] for each threshold k: slots are gamma
+        0..gamma_cap and the trailing unsliced slot.  With ``m_cap`` set,
+        only slots 0..m_cap and the unsliced slot are counted (and exact).
+        """
+        ctx = self.ctx
+        within = set(ctx.G.subgroup_ids_within(target))
+        out = [[0] * self.width for _ in ctx.thresholds]
+        roots = [(v, w, int(wm)) for v, w, jid, wm in self.combos if jid in within]
+        for v, w, wm in roots:
+            slot = self.width - 1 if wm else 0
+            for k, t in enumerate(ctx.thresholds):
+                if v < t:
+                    out[k][slot] += w
+        # per residue, the tame options inside the target merged by
+        # (exponent, meets), weights summed
+        merged: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        for r, opts in ctx.tame_options_by_residue.items():
+            acc: dict[tuple[int, int], int] = {}
+            for e, w, meets, sid in opts:
+                if sid in within:
+                    acc[(e, int(meets))] = acc.get((e, int(meets)), 0) + w
+            if acc:
+                merged[r] = tuple(sorted((e, w, f) for (e, f), w in acc.items()))
+        if merged and roots:
+            nodes = self._internal_nodes(roots, merged, m_cap)
+            self._count_leaves(nodes, merged, m_cap, out)
+        return out
+
+    def _internal_nodes(self, roots, merged, m_cap):
+        """Every profile that a further tame prime could extend, as arrays.
+
+        Returns (value, weight, class 2*m + wild_meets, largest tame prime,
+        0 at a root).  From value v the walk descends into prime p with
+        option e only while v * p**(e + e_min) < t_max, and with ``m_cap``
+        set it skips nodes none of whose leaves land in slots 0..m_cap.
+        """
+        N = self.ctx.G.order
+        t_max = self.ctx.t_max
+        e_min = min(e for opts in merged.values() for e, _, _ in opts)
+        if m_cap is None:
+            m_top = self.ctx.gamma_cap
+        elif any(not f for opts in merged.values() for _, _, f in opts):
+            m_top = m_cap
+        else:
+            m_top = m_cap - 1  # a node at m_cap would only have leaves past it
+        plim = integer_nth_root(t_max - 1, 2 * e_min)
+        small = self.primes[: int(np.searchsorted(self.primes, plim, side="right"))]
+        internal = [
+            (p, p ** (2 * e_min), tuple(
+                (p**e, p ** (e + e_min), w, f) for e, w, f in merged[p % N]
+            ))
+            for p in small.tolist()
+            if p % N in merged
+        ]
+        n = len(internal)
+        vs = [v for v, _, _ in roots]
+        ws = [w for _, w, _ in roots]
+        cs = [wm for _, _, wm in roots]
+        ps = [0] * len(roots)
+
+        def descend(j0: int, v: int, w: int, m: int, wm: int) -> None:
+            for j in range(j0, n):
+                p, p2, opts = internal[j]
+                if v * p2 >= t_max:
+                    return
+                for pe, pe_next, wt, f in opts:
+                    if v * pe_next >= t_max:
+                        break
+                    m2 = m + f
+                    if m2 > m_top:
+                        continue
+                    v2, w2 = v * pe, w * wt
+                    vs.append(v2)
+                    ws.append(w2)
+                    cs.append(2 * m2 + wm)
+                    ps.append(p)
+                    descend(j + 1, v2, w2, m2, wm)
+
+        for v, w, wm in roots:
+            descend(0, v, w, 0, wm)
+        return (
+            np.array(vs, dtype=object if self.big else np.int64),
+            np.array(ws, dtype=np.int64 if max(ws) < _INT64_BOUND else object),
+            np.array(cs, dtype=np.int64),
+            np.array(ps, dtype=np.int64),
+        )
+
+    def _count_leaves(self, nodes, merged, m_cap, out) -> None:
+        """Add the weighted leaves below every node to ``out``, slot by slot."""
+        V, W, C, P = nodes
+        unsliced = self.width - 1
+        # residues with the same merged options share one prime array; per
+        # exponent e, the (meets, weight) options it carries
+        by_opts: dict[tuple, list[int]] = {}
+        for r, opts in merged.items():
+            by_opts.setdefault(opts, []).append(r)
+        queries: list[tuple[int, np.ndarray, list[tuple[int, int]]]] = []
+        for opts, rs in by_opts.items():
+            arr = self.primes_of(tuple(sorted(rs)))
+            for e in sorted({e for e, _, _ in opts}):
+                queries.append((e, arr, [(f, w) for e2, w, f in opts if e2 == e]))
+        queries.sort(key=lambda qu: qu[0])
+        order = np.argsort(C, kind="stable")
+        classes, firsts = np.unique(C[order], return_index=True)
+        ends = firsts[1:].tolist() + [len(order)]
+        for c, lo, hi in zip(classes.tolist(), firsts.tolist(), ends):
+            m, wm = divmod(c, 2)
+            plan = []
+            for e, arr, fw in queries:
+                slots = [
+                    (m + f if m + f else (unsliced if wm else 0), w)
+                    for f, w in fw
+                    if m_cap is None or m + f <= m_cap
+                ]
+                if slots:
+                    plan.append((e, arr, slots))
+            if not plan:
+                continue
+            for a in range(lo, hi, self.rows):
+                sel = order[a : min(a + self.rows, hi)]
+                q = self.tq[None, :] // V[sel][:, None]
+                start = P[sel]
+                root, root_e = None, None
+                for e, arr, slots in plan:
+                    if e != root_e:
+                        root, root_e = _iroot(q, e, self.plimit + 1), e
+                    cnt = np.searchsorted(arr, root, side="right")
+                    cnt -= np.searchsorted(arr, start, side="right")[:, None]
+                    np.maximum(cnt, 0, out=cnt)
+                    sums = _weighted_leaf_sums(W[sel], cnt, self.warn)
+                    for slot, w in slots:
+                        for k, s in enumerate(sums):
+                            out[k][slot] += w * s
+
+
+def _slot_rows(
+    ctx: CensusContext, modes: Sequence[str], m_cap: int | None
+) -> dict[str, list[list[int]]]:
+    """Slot counts of the context per mode, rows[k][slot] below thresholds[k].
+
+    "hom" is the kernel's mass for the whole group; "sur" comes from the
+    subgroup recursion (surjective mass onto a subgroup is its hom mass
+    minus the surjective mass onto every proper subgroup), slot by slot.
+    """
+    kernel = _LeafKernel(ctx)
+    G = ctx.G
+    full = G.full_subgroup_id
+    if "sur" not in modes:
+        return {"hom": kernel.hom_slots(full, m_cap)}
+    subs = G.subgroups()
+    hom: dict[int, list[list[int]]] = {}
+    sur: dict[int, list[list[int]]] = {}
+    for sid in sorted(range(len(subs)), key=lambda i: (subs[i].order, i)):
+        hom[sid] = kernel.hom_slots(sid, m_cap)
+        inner = [j for j in G.subgroup_ids_within(sid) if j != sid]
+        sur[sid] = [
+            [h - sum(sur[j][k][s] for j in inner) for s, h in enumerate(row)]
+            for k, row in enumerate(hom[sid])
+        ]
+    return {"hom": hom[full], "sur": sur[full]}
+
+
+def convolution_table(
+    G: AbelianGroup,
+    x: ParamVector,
+    omega: OmegaSet,
+    bound: Fraction,
+    checkpoints: Sequence[Fraction] | None = None,
+    prime_table=None,
+    cache_dir=None,
+) -> CensusTable:
+    """The whole census table, both modes and every slice, without the walk.
+
+    A second, independent route to the table ``enumerate_census`` builds:
+    hom mass from the counted-leaf kernel (only internal profiles are
+    visited; the leaf primes below each one are counted by binary search),
+    sur mass from the subgroup recursion applied to whole slot arrays.
+    Memory stays O(tame primes + internal nodes), so truncations far past
+    10^8 are counted exactly.
+    """
+    ctx = CensusContext(
+        G, x, omega, bound=Fraction(bound), checkpoints=checkpoints,
+        prime_table=prime_table, cache_dir=cache_dir,
+    )
+    rows = _slot_rows(ctx, ("hom", "sur"), None)
+    return CensusTable(
+        group_factors=G.invariant_factors,
+        params=tuple(x.values),
+        omega_classes=omega.class_indices,
+        checkpoints=ctx.checkpoints,
+        checkpoint_power=ctx.power,
+        thresholds=ctx.thresholds,
+        scale=ctx.scale,
+        sur=[row[:-1] for row in rows["sur"]],
+        hom=[row[:-1] for row in rows["hom"]],
+        unsliced_sur=[row[-1] for row in rows["sur"]],
+        unsliced_hom=[row[-1] for row in rows["hom"]],
+    )
 
 
 def convolution_counts(
@@ -373,52 +665,30 @@ def convolution_counts(
     prime_table=None,
     cache_dir=None,
 ) -> list[tuple[Fraction, int]]:
-    """Summatory census counts at each checkpoint, by Euler convolution only.
+    """Summatory census counts at each checkpoint, without the walk.
 
-    A second, tree-free route to the same numbers the profile walk
-    produces: "hom" counts come straight from the convolved product, "sur"
-    counts from the subgroup recursion (surjective mass onto a subgroup is
-    its hom mass minus the surjective mass onto every proper subgroup).
-    ``gamma`` selects one slice; None (or empty omega) gives totals over
-    all profiles.  Coefficients are never materialized, only partial sums,
-    so truncations up to about 10^8 stay within the dense-array budget.
-    Raises a resource error beyond that budget instead of degrading.
+    One slice of ``convolution_table`` (or its totals): ``gamma`` selects
+    the slice, None (or empty omega) gives totals over all profiles, and
+    ``mode`` is "hom" or "sur".  A call for one slice skips the internal
+    profiles whose tame omega-meeting count already passes ``gamma``.
     """
     if gamma is not None and gamma < 0:
         raise ParamError("gamma must be non-negative")
     if mode not in ("sur", "hom"):
         raise ParamError(f"mode must be 'sur' or 'hom', got {mode!r}")
-    bound = Fraction(bound)
-    full_ctx = CensusContext(
-        G, x, omega, bound=bound, checkpoints=checkpoints,
+    ctx = CensusContext(
+        G, x, omega, bound=Fraction(bound), checkpoints=checkpoints,
         prime_table=prime_table, cache_dir=cache_dir,
     )
-    _, n_states = _census_rows(full_ctx, gamma)
-    if full_ctx.t_max * n_states > SUMMATORY_CELL_CAP:
-        raise ResourceCapError(
-            f"truncation {full_ctx.t_max} with {n_states} slice states exceeds "
-            f"the summatory cell budget {SUMMATORY_CELL_CAP}"
-        )
-    if mode == "hom":
-        sums = _hom_checkpoint_sums(full_ctx, gamma, SUMMATORY_CELL_CAP)
-        return list(zip(full_ctx.checkpoints, sums))
-    pts = full_ctx.checkpoints
-    subs = G.subgroups()
-    pi_sums: dict[int, list[int]] = {}
-    for sid in sorted(range(len(subs)), key=lambda i: (subs[i].order, i)):
-        if sid == G.full_subgroup_id:
-            ctx = full_ctx
-        else:
-            ctx = CensusContext(
-                G, x, omega, bound=bound, checkpoints=pts,
-                target_id=sid, prime_table=full_ctx.prime_table,
-            )
-        mu = _hom_checkpoint_sums(ctx, gamma, SUMMATORY_CELL_CAP)
-        inner = [j for j in G.subgroup_ids_within(sid) if j != sid]
-        pi_sums[sid] = [
-            m - sum(pi_sums[j][k] for j in inner) for k, m in enumerate(mu)
-        ]
-    return list(zip(pts, pi_sums[G.full_subgroup_id]))
+    sliced = gamma is not None and not ctx.omega.is_empty()
+    rows = _slot_rows(ctx, (mode,), gamma if sliced else None)[mode]
+    if not sliced:
+        counts = [sum(row) for row in rows]
+    elif gamma <= ctx.gamma_cap:
+        counts = [row[gamma] for row in rows]
+    else:
+        counts = [0] * len(rows)
+    return list(zip(ctx.checkpoints, counts))
 
 
 def _series_mul(

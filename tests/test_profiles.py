@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,17 @@ def test_node_budget_trips_resource_cap(threads):
         ac.enumerate_census(G, x, om, bound, node_budget=5, threads=threads)
 
 
+def test_pooled_node_budget_stops_within_threads_times_budget():
+    G, x, om, _ = _smoke_args()
+    threads, budget = 2, 1000
+    with pytest.raises(ResourceCapError, match=r"nodes so far") as info:
+        ac.enumerate_census(
+            G, x, om, Fraction(10**5), node_budget=budget, threads=threads
+        )
+    nodes = int(re.search(r"\((\d+) nodes so far\)", str(info.value)).group(1))
+    assert budget < nodes <= threads * (budget + 1)
+
+
 def test_workers_use_the_callers_cache_dir(tmp_path, monkeypatch):
     env_dir = tmp_path / "env"
     env_dir.mkdir()
@@ -310,12 +322,20 @@ def test_convolution_counts_match_census(factors, xs, om_ids, gamma, mode):
             assert n == table.slice_count(mode, ci, gamma)
 
 
-def test_convolution_counts_pre_raises_on_oversized_state():
+def test_convolution_counts_match_walk_past_the_old_state_cap():
+    # T = 2**28 with two slice states was refused by the dense engine; the
+    # counted-leaf kernel needs primes only up to 2**(28/3)
     G = ac.make_group((2,))
     x = ac.make_params(G, [3])
     om = ac.validate_omega(G, [1])
-    with pytest.raises(ResourceCapError):
-        convolution_counts(G, x, om, Fraction(2**28), gamma=1)
+    bound = Fraction(2**28)
+    table = ac.enumerate_census(G, x, om, bound)
+    for mode in ("hom", "sur"):
+        pairs = convolution_counts(G, x, om, bound, gamma=1, mode=mode)
+        assert [n for _, n in pairs] == [
+            table.slice_count(mode, ci, 1) for ci in range(len(table.checkpoints))
+        ]
+        assert pairs[-1][1] == 311
 
 
 # -- property: table scale/thresholds stay consistent --------------------------------

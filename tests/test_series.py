@@ -6,7 +6,6 @@ import logging
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import abelian_census as ac
@@ -117,13 +116,70 @@ def test_mu_pi_partial_sums_match_convolution_path():
             assert n_sur == sum(c for d, c in pi.coefficients.items() if d < t)
 
 
+# -- the counted-leaf route against the walk ------------------------------------------
+
+F = Fraction
+TABLE_CASES = [
+    ((2,), [1], [0]),
+    ((4,), [1, 2], [1]),
+    ((8,), [1, F(3, 2), 2], [0, 2]),
+    ((2, 2), [1, 1, 1], [0, 2]),
+    ((2, 2), [2, 1, 2], [0, 2]),
+    ((2, 2), [1, F(3, 2), F(3, 2)], [0, 2]),
+    ((2, 4), [1, F(3, 2), 2, F(4, 3), F(5, 2)], [1, 3]),
+    ((3, 3), [1, F(3, 2), 2, 1], [0, 3]),
+    ((2, 2, 2), [1, 1, 2, 1, 2, 2, 1], [0, 6]),
+    ((2, 2, 2), [F(3, 2)] * 7, []),
+]
+
+
+@pytest.mark.parametrize("factors,xs,om_classes", TABLE_CASES)
+def test_convolution_table_equals_the_walk(factors, xs, om_classes):
+    G = ac.make_group(factors)
+    x = ac.make_params(G, xs)
+    om = ac.omega_from_classes(G, om_classes)
+    for bound in (F(999), F(3000)):
+        assert S.convolution_table(G, x, om, bound) == ac.enumerate_census(G, x, om, bound)
+
+
 # -- the convolution engine's guards ------------------------------------------------------
 
 
-def test_checkpoint_sums_do_not_wrap_int64():
-    state = np.full(1025, 1 << 54, dtype=np.int64)
-    state[0] = 0
-    assert S._state_checkpoint_sums(state, [1, 2, 1025]) == [0, 1 << 54, 1 << 64]
+def test_leaf_sums_do_not_wrap_int64(caplog):
+    # C2 with omega its one class: every tame option has weight 1 and meets
+    # omega, so setting the tame weights to 2**62 multiplies slice g by
+    # 2**(62 g), far past int64, and leaves the unsliced wild mass alone
+    G = ac.make_group((2,))
+    x = ac.make_params(G, [1])
+    om = ac.validate_omega(G, [1])
+    bound = Fraction(3000)
+    walk = ac.enumerate_census(G, x, om, bound)
+    ctx = ac.CensusContext(G, x, om, bound=bound)
+    ctx.tame_options_by_residue = {
+        r: tuple((e, 1 << 62, meets, sid) for e, _, meets, sid in opts)
+        for r, opts in ctx.tame_options_by_residue.items()
+    }
+    with caplog.at_level(logging.WARNING, logger="abelian_census.series"):
+        rows = S._slot_rows(ctx, ("hom",), None)["hom"]
+    for ci, row in enumerate(rows):
+        assert row[:-1] == [
+            walk.slice_count("hom", ci, g) << (62 * g) for g in range(walk.gamma_cap + 1)
+        ]
+        assert row[-1] == walk.unsliced_count("hom", ci)
+    assert walk.max_nonzero_gamma() >= 2
+    assert "fall back to Python ints" in caplog.text
+
+
+def test_thresholds_past_int64_are_counted_exactly(caplog):
+    # D = 6 makes T = X**6 pass 2**63 at X = 1500
+    G = ac.make_group((2, 2))
+    x = ac.make_params(G, [Fraction(7, 6), Fraction(3, 2), Fraction(4, 3)])
+    om = ac.validate_omega(G, [1, 3])
+    with caplog.at_level(logging.WARNING, logger="abelian_census.series"):
+        table = S.convolution_table(G, x, om, Fraction(1500))
+    assert table.thresholds[-1] >= 1 << 63
+    assert "thresholds reach 2**63" in caplog.text
+    assert table == ac.enumerate_census(G, x, om, Fraction(1500))
 
 
 def test_dense_fallback_is_announced(caplog):
