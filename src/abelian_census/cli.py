@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from .profiles import (
     merge_task_table,
 )
 from .series import (
+    convolution_table,
     delange_shape,
     fit_exponents,
     mu_series,
@@ -444,19 +446,37 @@ def _write_resume(path: Path, cfg: RunConfig, completed: dict) -> None:
     path.write_text(json.dumps(data, sort_keys=True))
 
 
+def _int_rows(diff) -> bool:
+    return isinstance(diff, list) and all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in diff
+    )
+
+
 def _load_resume(path: Path, cfg: RunConfig) -> dict:
+    """The done tasks of a token ``{config_hash, tasks: {"c:b": [sur, hom]}}``.
+
+    Whether each task fits the run's task partition is checked when the
+    census merges it (a ParamError).
+    """
     try:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read resume token {path}: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("tasks"), dict):
+        raise ConfigError(f"resume token {path} holds no task map")
     if data.get("config_hash") != config_hash(cfg):
         raise ConfigError(
             "resume token was produced by a different configuration"
         )
     done = {}
-    for key, (ds, dh) in data["tasks"].items():
-        combo_s, bucket_s = key.split(":")
-        done[(int(combo_s), int(bucket_s))] = (ds, dh)
+    for key, diffs in data["tasks"].items():
+        m = re.fullmatch(r"([0-9]+):([0-9]+)", key)
+        if not (m and isinstance(diffs, list) and len(diffs) == 2
+                and all(map(_int_rows, diffs))):
+            raise ConfigError(
+                f"resume token entry {key!r} is not 'combo:bucket': [diff_sur, diff_hom]"
+            )
+        done[(int(m[1]), int(m[2]))] = tuple(diffs)
     return done
 
 
@@ -716,16 +736,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         G, x, omega, cap, checkpoints=checkpoints, threads=cfg.threads,
         cache_dir=cfg.cache_dir,
     )
-    ok = True
-    for mode in ("sur", "hom"):
-        for ci in range(len(table.checkpoints)):
-            total = table.total_count(mode, ci)
-            sliced = sum(
-                table.slice_count(mode, ci, g) for g in range(table.gamma_cap + 1)
-            )
-            if total != sliced + table.unsliced_count(mode, ci):
-                ok = False
-    check("totals = sum of slices + unsliced at every checkpoint", ok)
+    leaf = convolution_table(
+        G, x, omega, cap, checkpoints=checkpoints, cache_dir=cfg.cache_dir
+    )
+    check("census walk equals the counted-leaf table", table == leaf)
 
     lo, hi = cfg.gamma
     series_cap = min(cap, Fraction(2000))

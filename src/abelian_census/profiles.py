@@ -32,8 +32,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from heapq import merge
 from math import gcd, log, prod
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import CensusError, ParamError, ResourceCapError
 from .groups import AbelianGroup, OmegaSet, ParamVector, x_of_subgroup
@@ -320,6 +323,14 @@ class CensusTable:
 class CensusContext:
     """Everything the enumeration needs, precomputed once per run.
 
+    It holds the wild options per wild prime, the one tame-option table
+    ``tame_options_by_residue`` (options depend only on p mod |G|), the
+    prime limit ``plimit`` past which no single tame assignment stays
+    below the largest threshold, and ``primes``: the usable tame primes up
+    to ``plimit`` (those whose residue has options), ascending, as an
+    ``array("q")`` so that indexing yields Python ints.  The walk and the
+    counted-leaf kernel both read these.
+
     ``target_id`` restricts images to a subgroup T and makes "sur" mean
     "images generate T" (used by the subgroup-recursion identity); the
     default target is the whole group.
@@ -431,23 +442,18 @@ class CensusContext:
         # Usable tame primes: below the largest value a single cheapest
         # assignment keeps under the threshold, with nonempty options.
         if self.e_min_tame is not None and self.t_max > 1:
-            plimit = integer_nth_root(self.t_max - 1, self.e_min_tame)
+            self.plimit = integer_nth_root(self.t_max - 1, self.e_min_tame)
         else:
-            plimit = 0
-        if prime_table is None or prime_table.limit < plimit:
-            prime_table = load_prime_table(max(plimit, 2), cache_dir=cache_dir)
-        self.prime_table = prime_table
-        usable = []
-        options_for_prime = []
-        if plimit >= 2:
-            by_res = self.tame_options_by_residue
-            for p in prime_table.up_to(plimit).tolist():
-                opts = by_res.get(p % N)
-                if opts:
-                    usable.append(p)
-                    options_for_prime.append(opts)
-        self.primes = array("q", usable)
-        self.options_for_prime = options_for_prime
+            self.plimit = 0
+        if prime_table is None or prime_table.limit < self.plimit:
+            prime_table = load_prime_table(max(self.plimit, 2), cache_dir=cache_dir)
+        usable = np.zeros(N, dtype=bool)
+        usable[[r for r, opts in self.tame_options_by_residue.items() if opts]] = True
+        candidates = prime_table.up_to(max(self.plimit, 1))
+        chosen = candidates[usable[candidates % N]].astype(np.int64, copy=False)
+        # an array of Python ints: the walker's v * p**e must not wrap int64
+        self.primes = array("q")
+        self.primes.frombytes(memoryview(chosen).cast("B"))
         self._join_memo: dict[tuple[int, int], int] = {}
 
     # -- wild combinations -------------------------------------------------
@@ -535,7 +541,8 @@ def walk_task(
         return 0
     t_max = ctx.t_max
     primes = ctx.primes
-    opt_rows = ctx.options_for_prime
+    N = ctx.G.order
+    rows = tuple(ctx.tame_options_by_residue.get(r, ()) for r in range(N))
     n = len(primes)
     join_memo = ctx._join_memo
     group_join = ctx.G.join_id
@@ -547,7 +554,7 @@ def walk_task(
             p = primes[i]
             if v * p**e_min >= t_max:
                 break
-            for e, wt, meets, hid in opt_rows[i]:
+            for e, wt, meets, hid in rows[p % N]:
                 v2 = v * p**e
                 if v2 >= t_max:
                     break
@@ -669,6 +676,21 @@ def _prefix(diffs: list[list[int]]) -> list[list[int]]:
     return out
 
 
+def _check_done_tasks(ctx: CensusContext, done: dict) -> None:
+    """Refuse recorded tasks that do not fit the context's task partition."""
+    known = set(ctx.tasks())
+    n, width = len(ctx.thresholds), ctx.gamma_cap + 2
+    for task, diffs in done.items():
+        if task not in known:
+            raise ParamError(f"recorded task {task} is not in this census's task partition")
+        if len(diffs) != 2 or any(
+            len(diff) != n or any(len(row) != width for row in diff) for diff in diffs
+        ):
+            raise ParamError(
+                f"recorded task {task} does not hold two {n} x {width} diff tables"
+            )
+
+
 def enumerate_census(
     G: AbelianGroup,
     x: ParamVector,
@@ -688,6 +710,8 @@ def enumerate_census(
 
     ``done_tasks`` maps already-completed task ids to (diff_sur, diff_hom)
     pairs (resume support); ``on_task`` observes each newly finished task.
+    Raises ParamError for a recorded task outside ``ctx.tasks()`` or whose
+    diffs are not len(thresholds) x (gamma_cap + 2).
     Raises ResourceCapError when ``node_budget`` nodes are exceeded; results
     reported through ``on_task`` before that point remain valid.
     """
@@ -704,6 +728,7 @@ def enumerate_census(
     )
     diff_sur, diff_hom = ctx.empty_diffs()
     done = dict(done_tasks or {})
+    _check_done_tasks(ctx, done)
     pending = [t for t in ctx.tasks() if t not in done]
     for task, (part_sur, part_hom) in done.items():
         _merge_diffs(diff_sur, part_sur)
@@ -810,10 +835,8 @@ def count_by_index(
         walk_task(ctx, task, visit)
     if not as_index_values:
         return coeffs
-    primes = ctx.prime_table.primes.tolist()
-    wilds = list(ctx.wild_primes)
-    universe = sorted(set(wilds) | set(primes))
+    # every factor of a visited value is a wild prime or a usable tame prime
     return {
-        IndexValue.from_scaled(v, ctx.scale, universe): c
+        IndexValue.from_scaled(v, ctx.scale, merge(ctx.wild_primes, ctx.primes)): c
         for v, c in sorted(coeffs.items())
     }

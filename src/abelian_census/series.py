@@ -277,12 +277,13 @@ def _census_rows(ctx: CensusContext, gamma: int | None):
     advance = n_states > 1
 
     def rows_fn():
+        by_res, N = ctx.tame_options_by_residue, ctx.G.order
         for opts in ctx.wild_options:
             yield [(pe, w, False) for pe, w, meets, _ in opts if keep_meeting or not meets]
-        for p, opts in zip(ctx.primes, ctx.options_for_prime):
+        for p in ctx.primes:
             yield [
                 (p**e, w, advance and meets)
-                for e, w, meets, _ in opts
+                for e, w, meets, _ in by_res[p % N]
                 if keep_meeting or not meets
             ]
 
@@ -409,18 +410,15 @@ def _weighted_leaf_sums(w: np.ndarray, counts: np.ndarray, warn) -> list[int]:
 class _LeafKernel:
     """Counted-leaf hom sums of one census context, target by target.
 
-    Holds the tame primes up to the context's prime limit as one numpy
-    array, filtered per residue group on demand, and the context's wild
-    combinations; ``hom_slots`` runs the walk for one target subgroup.
+    Holds the tame primes up to the context's prime limit (a zero-copy
+    numpy view of the context's usable primes), filtered per residue group
+    on demand, and the context's wild combinations; ``hom_slots`` runs the
+    walk for one target subgroup.
     """
 
     def __init__(self, ctx: CensusContext):
         self.ctx = ctx
-        if ctx.e_min_tame is not None and ctx.t_max > 1:
-            self.plimit = integer_nth_root(ctx.t_max - 1, ctx.e_min_tame)
-        else:
-            self.plimit = 0
-        self.primes = ctx.prime_table.up_to(max(self.plimit, 1))
+        self.primes = np.frombuffer(ctx.primes, dtype=np.int64)
         self._residues = self.primes % ctx.G.order
         self._by_residues: dict[tuple[int, ...], np.ndarray] = {}
         self.combos = [
@@ -579,7 +577,7 @@ class _LeafKernel:
                 root, root_e = None, None
                 for e, arr, slots in plan:
                     if e != root_e:
-                        root, root_e = _iroot(q, e, self.plimit + 1), e
+                        root, root_e = _iroot(q, e, self.ctx.plimit + 1), e
                     cnt = np.searchsorted(arr, root, side="right")
                     cnt -= np.searchsorted(arr, start, side="right")[:, None]
                     np.maximum(cnt, 0, out=cnt)
@@ -786,8 +784,7 @@ def _elementary_sums(
 
     w = euler_phi(order)
     st: list[dict[int, int]] = [{1: 1}] + [dict() for _ in range(n_max)]
-    for i in range(len(ctx.primes)):
-        p = ctx.primes[i]
+    for p in ctx.primes:
         if (p - 1) % order:
             continue
         pe = p**scaled_exp
@@ -846,9 +843,9 @@ def tau_series(
         block_exp.extend([x.scaled(ci)] * mult)
     assert len(block_exp) == gamma
     N = G.order
+    by_res = ctx.tame_options_by_residue
     st: list[dict[int, int]] = [{1: 1}] + [dict() for _ in range(gamma)]
-    for i in range(len(ctx.primes)):
-        p = ctx.primes[i]
+    for p in ctx.primes:
         if p <= q:
             continue
         writes: list[tuple[int, int, int]] = []
@@ -861,7 +858,7 @@ def tau_series(
                     v2 = v * pe
                     if v2 < T2:
                         writes.append((j + 1, v2, c))
-        for e, w, meets, _sid in ctx.options_for_prime[i]:
+        for e, w, meets, _sid in by_res[p % N]:
             if meets:
                 continue
             pe = p**e

@@ -208,6 +208,56 @@ def test_resume_token_is_config_bound(tmp_path, monkeypatch):
         cli.run_census(other)
 
 
+def test_resumed_run_merges_a_token_read_back_from_json(tmp_path, monkeypatch):
+    monkeypatch.setenv("ABELIAN_CENSUS_CACHE", str(tmp_path / "cache"))
+    capped = _cfg(tmp_path, bound=Fraction(2000), checkpoints=None, node_budget=6000)
+    with pytest.raises(ResourceCapError, match="resume token"):
+        cli.run_census(capped)
+    token = tmp_path / "run.resume.json"
+    assert json.loads(token.read_text())["tasks"]
+
+    cli.run_census(dataclasses.replace(capped, node_budget=None, resume_path=str(token)))
+    clean = _cfg(tmp_path, bound=Fraction(2000), checkpoints=None, out=str(tmp_path / "clean"))
+    cli.run_census(clean)
+    for suffix in (".csv", ".plot.csv", ".json"):
+        assert (tmp_path / f"run{suffix}").read_bytes() == (
+            tmp_path / f"clean{suffix}"
+        ).read_bytes()
+
+
+def _add_foreign_task(tasks):
+    tasks["999:3"] = next(iter(tasks.values()))
+
+
+def _add_bad_key(tasks):
+    tasks["0"] = next(iter(tasks.values()))
+
+
+def _shorten_a_row(tasks):
+    next(iter(tasks.values()))[0][0].pop()
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_add_foreign_task, "not in this census's task partition"),
+        (_add_bad_key, "is not 'combo:bucket'"),
+        (_shorten_a_row, "diff tables"),
+    ],
+)
+def test_main_refuses_a_token_that_does_not_fit_the_tasks(tmp_path, capsys, corrupt, message):
+    assert cli.main(_census_args(tmp_path, "--node-budget", "6000", bound="2000")) == 3
+    token = tmp_path / "cmd.resume.json"
+    data = json.loads(token.read_text())
+    corrupt(data["tasks"])
+    token.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = cli.main(_census_args(tmp_path, "--resume", str(token), bound="2000"))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error:" in err and message in err
+
+
 # -- command line ---------------------------------------------------------------------
 
 
@@ -359,3 +409,29 @@ def test_main_verify_failed_check_exits_2(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 2
     assert "FAIL: prime table vs independent recount" in out
+
+
+def test_main_verify_fails_when_the_routes_disagree(tmp_path, capsys, monkeypatch):
+    real = cli.convolution_table
+
+    def perturbed(*args, **kwargs):
+        table = real(*args, **kwargs)
+        table.hom[-1][1] += 1
+        return table
+
+    monkeypatch.setattr(cli, "convolution_table", perturbed)
+    rc = cli.main(
+        [
+            "verify",
+            "--group", "2",
+            "--params", "1",
+            "--omega", "1",
+            "--gamma", "1",
+            "--bound", "200",
+            "--cache-dir", str(tmp_path / "cache"),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "FAIL: census walk equals the counted-leaf table" in out
+    assert out.count("PASS") == 3

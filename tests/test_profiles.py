@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import abelian_census as ac
 from abelian_census import profiles as P
-from abelian_census.errors import CensusError, ResourceCapError
+from abelian_census.errors import CensusError, ParamError, ResourceCapError
 from abelian_census.series import convolution_counts
 
 import _oracles as orc
@@ -224,6 +224,30 @@ def test_count_by_index_agrees_with_table():
         assert all(v.scaled_value < bound * table.scale for v in d)
 
 
+@pytest.mark.parametrize(
+    "factors,xs,om_classes,bound",
+    [
+        ((2,), [1], [0], Fraction(10**5)),
+        ((3,), [1], [], Fraction(10**5)),
+        ((5,), [2], [0], Fraction(10**6)),
+        ((2, 4), [1, Fraction(3, 2), 2, Fraction(4, 3), Fraction(5, 2)], [], Fraction(10**4)),
+        ((3, 3), [1, Fraction(3, 2), 2, 1], [0, 3], Fraction(10**4)),
+    ],
+)
+def test_usable_primes_are_the_primes_whose_residue_has_options(factors, xs, om_classes, bound):
+    G = ac.make_group(factors)
+    x = ac.make_params(G, xs)
+    om = ac.omega_from_classes(G, om_classes)
+    ctx = P.CensusContext(G, x, om, bound=bound)
+    N = G.order
+    want = [
+        p for p in ac.sieve_primes(ctx.plimit).tolist()
+        if ctx.tame_options_by_residue.get(p % N)
+    ]
+    assert want and list(ctx.primes) == want
+    assert all(type(p) is int for p in ctx.primes[:3])
+
+
 # -- determinism, budget, resume ----------------------------------------------------
 
 
@@ -292,6 +316,20 @@ def test_resume_from_recorded_tasks():
     )
     assert resumed == full
     assert sorted(seen) == tasks[len(tasks) // 2 :]
+
+
+def test_recorded_tasks_outside_the_partition_are_refused():
+    G, x, om, bound = _smoke_args()
+    recorded: dict = {}
+    ac.enumerate_census(
+        G, x, om, bound, on_task=lambda t, s, h: recorded.setdefault(t, (s, h))
+    )
+    task, (part_sur, part_hom) = next(iter(recorded.items()))
+    with pytest.raises(ParamError, match="task partition"):
+        ac.enumerate_census(G, x, om, bound, done_tasks={(999, 3): (part_sur, part_hom)})
+    narrow = [row[:-1] for row in part_hom]
+    with pytest.raises(ParamError, match="diff tables"):
+        ac.enumerate_census(G, x, om, bound, done_tasks={task: (part_sur, narrow)})
 
 
 # -- summatory convolution path -----------------------------------------------------
