@@ -447,12 +447,20 @@ class CensusContext:
             self.plimit = 0
         if prime_table is None or prime_table.limit < self.plimit:
             prime_table = load_prime_table(max(self.plimit, 2), cache_dir=cache_dir)
-        usable = np.zeros(N, dtype=bool)
-        usable[[r for r, opts in self.tame_options_by_residue.items() if opts]] = True
         candidates = prime_table.up_to(max(self.plimit, 1))
-        chosen = candidates[usable[candidates % N]].astype(np.int64, copy=False)
         # an array of Python ints: the walker's v * p**e must not wrap int64
         self.primes = array("q")
+        if all(self.tame_options_by_residue.values()):
+            # every unit residue has options: only the primes dividing |G|
+            # fall out, and they all sit below |G|
+            head = int(np.searchsorted(candidates, N, side="right"))
+            self.primes.extend(p for p in candidates[:head].tolist() if N % p)
+            chosen = candidates[head:]
+        else:
+            usable = np.zeros(N, dtype=bool)
+            usable[[r for r, opts in self.tame_options_by_residue.items() if opts]] = True
+            chosen = candidates[usable[candidates % N]]
+        chosen = np.ascontiguousarray(chosen, dtype=np.int64)
         self.primes.frombytes(memoryview(chosen).cast("B"))
         self._join_memo: dict[tuple[int, int], int] = {}
 
@@ -571,7 +579,9 @@ def walk_task(
                 w2 = w * wt
                 g2 = g + meets
                 visit(v2, w2, g2, wm0, jid2)
-                rec(range(i + 1, n), v2, w2, g2, jid2)
+                # a leaf: no later prime fits, so do not recurse
+                if i + 1 < n and v2 * primes[i + 1] ** e_min < t_max:
+                    rec(range(i + 1, n), v2, w2, g2, jid2)
 
     # the task's bucket fixes the first tame prime's position mod TASK_BUCKETS
     rec(range(bucket, n, TASK_BUCKETS), v0, w0, 0, jid0)

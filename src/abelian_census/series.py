@@ -9,11 +9,11 @@ sandwich pi coefficientwise.
 
 The summatory counts, the second counting route next to the census walk,
 come from the counted-leaf kernel: ``convolution_table`` visits only the
-internal profiles and counts the leaf primes below each one by binary
-search in per-residue prime arrays, so its cost grows like the number of
-internal profiles (about T**0.74 for C2) rather than with T.  Its int64
-sums are guarded and fall back to Python ints, with a warning, when a sum
-or a threshold could pass 2**63.
+internal profiles, level by level, and counts the leaf primes below each
+one by binary search in per-residue prime arrays, so its cost grows like
+the number of internal profiles (about T**0.74 for C2) rather than with T.
+Its int64 sums and weights are guarded and fall back to Python ints, with
+a warning, when a sum, a weight or a threshold could pass 2**63.
 
 One row builder, ``_census_rows``, turns a census context and a slice
 choice into Euler-factor rows; mu and psi convolve its rows.  That
@@ -353,14 +353,15 @@ def pi_series(
 
 # -- the counted-leaf kernel ----------------------------------------------------
 #
-# The summatory counts come from a depth-first walk over internal profiles
-# only: a profile whose largest tame prime could still be followed by
-# another.  Every other profile is a leaf, one prime beyond an internal
-# node, and the leaves below a node at value v are counted for every
-# threshold t at once: per residue class r mod |G| and option exponent e,
-# the primes p of class r past the node's last prime with p**e <= (t-1)//v,
-# one binary search in the class's sorted primes (the second phase of the
-# min_25 sieve).
+# The summatory counts come from a walk over internal profiles only: a
+# profile whose largest tame prime could still be followed by another.
+# Every other profile is a leaf, one prime beyond an internal node, and the
+# leaves below a node at value v are counted for every threshold t at once:
+# per residue class r mod |G| and option exponent e, the primes p of class r
+# past the node's last prime with p**e <= (t-1)//v, one binary search in the
+# class's sorted primes (the second phase of the min_25 sieve).  The walk
+# runs level by level in numpy: level k holds the internal profiles with k
+# tame primes, built from level k - 1 by the same binary searches.
 
 
 def _pow_le(x: np.ndarray, e: int, q: np.ndarray) -> np.ndarray:
@@ -410,16 +411,19 @@ def _weighted_leaf_sums(w: np.ndarray, counts: np.ndarray, warn) -> list[int]:
 class _LeafKernel:
     """Counted-leaf hom sums of one census context, target by target.
 
-    Holds the tame primes up to the context's prime limit (a zero-copy
-    numpy view of the context's usable primes), filtered per residue group
-    on demand, and the context's wild combinations; ``hom_slots`` runs the
-    walk for one target subgroup.
+    Reads the context's usable tame primes in place (a zero-copy numpy view
+    of ``ctx.primes``), filtered per residue group only when a group is not
+    all of them, and holds the context's wild combinations; ``hom_slots``
+    runs the level-by-level walk for one target subgroup.
     """
 
     def __init__(self, ctx: CensusContext):
         self.ctx = ctx
         self.primes = np.frombuffer(ctx.primes, dtype=np.int64)
-        self._residues = self.primes % ctx.G.order
+        self._usable = tuple(
+            sorted(r for r, opts in ctx.tame_options_by_residue.items() if opts)
+        )
+        self._residues: np.ndarray | None = None
         self._by_residues: dict[tuple[int, ...], np.ndarray] = {}
         self.combos = [
             c for c in map(ctx.wild_combo, range(ctx.n_wild_combos)) if c is not None
@@ -443,9 +447,19 @@ class _LeafKernel:
             )
 
     def primes_of(self, residues: tuple[int, ...]) -> np.ndarray:
+        """The usable primes in the given residue classes mod |G|, ascending."""
+        if residues == self._usable:
+            return self.primes
         hit = self._by_residues.get(residues)
         if hit is None:
-            hit = self.primes[np.isin(self._residues, residues)]
+            N = self.ctx.G.order
+            if self._residues is None:
+                # computed in int64 buffers, stored in the smallest dtype
+                small = np.empty(len(self.primes), np.min_scalar_type(N - 1))
+                self._residues = np.remainder(self.primes, N, out=small, casting="unsafe")
+            chosen = np.zeros(N, dtype=bool)
+            chosen[list(residues)] = True
+            hit = self.primes[chosen[self._residues]]
             self._by_residues[residues] = hit
         return hit
 
@@ -475,85 +489,88 @@ class _LeafKernel:
                     acc[(e, int(meets))] = acc.get((e, int(meets)), 0) + w
             if acc:
                 merged[r] = tuple(sorted((e, w, f) for (e, f), w in acc.items()))
-        if merged and roots:
-            nodes = self._internal_nodes(roots, merged, m_cap)
-            self._count_leaves(nodes, merged, m_cap, out)
-        return out
-
-    def _internal_nodes(self, roots, merged, m_cap):
-        """Every profile that a further tame prime could extend, as arrays.
-
-        Returns (value, weight, class 2*m + wild_meets, largest tame prime,
-        0 at a root).  From value v the walk descends into prime p with
-        option e only while v * p**(e + e_min) < t_max, and with ``m_cap``
-        set it skips nodes none of whose leaves land in slots 0..m_cap.
-        """
-        N = self.ctx.G.order
-        t_max = self.ctx.t_max
-        e_min = min(e for opts in merged.values() for e, _, _ in opts)
+        if not (merged and roots):
+            return out
+        queries = self._queries(merged)
+        e_min = queries[0][0]
         if m_cap is None:
-            m_top = self.ctx.gamma_cap
-        elif any(not f for opts in merged.values() for _, _, f in opts):
+            m_top = ctx.gamma_cap
+        elif any(not f for _, _, fw in queries for f, _ in fw):
             m_top = m_cap
         else:
             m_top = m_cap - 1  # a node at m_cap would only have leaves past it
-        plim = integer_nth_root(t_max - 1, 2 * e_min)
-        small = self.primes[: int(np.searchsorted(self.primes, plim, side="right"))]
-        internal = [
-            (p, p ** (2 * e_min), tuple(
-                (p**e, p ** (e + e_min), w, f) for e, w, f in merged[p % N]
-            ))
-            for p in small.tolist()
-            if p % N in merged
-        ]
-        n = len(internal)
-        vs = [v for v, _, _ in roots]
         ws = [w for _, w, _ in roots]
-        cs = [wm for _, _, wm in roots]
-        ps = [0] * len(roots)
-
-        def descend(j0: int, v: int, w: int, m: int, wm: int) -> None:
-            for j in range(j0, n):
-                p, p2, opts = internal[j]
-                if v * p2 >= t_max:
-                    return
-                for pe, pe_next, wt, f in opts:
-                    if v * pe_next >= t_max:
-                        break
-                    m2 = m + f
-                    if m2 > m_top:
-                        continue
-                    v2, w2 = v * pe, w * wt
-                    vs.append(v2)
-                    ws.append(w2)
-                    cs.append(2 * m2 + wm)
-                    ps.append(p)
-                    descend(j + 1, v2, w2, m2, wm)
-
-        for v, w, wm in roots:
-            descend(0, v, w, 0, wm)
-        return (
-            np.array(vs, dtype=object if self.big else np.int64),
-            np.array(ws, dtype=np.int64 if max(ws) < _INT64_BOUND else object),
-            np.array(cs, dtype=np.int64),
-            np.array(ps, dtype=np.int64),
+        wide = max(ws) >= _INT64_BOUND
+        if wide:
+            self.warn("a frontier weight could pass int64")
+        level = (
+            np.array([v for v, _, _ in roots], dtype=object if self.big else np.int64),
+            np.array(ws, dtype=object if wide else np.int64),
+            np.array([wm for _, _, wm in roots], dtype=np.int64),
+            np.zeros(len(roots), dtype=np.int64),
         )
+        while len(level[0]):
+            self._count_leaves(level, queries, m_cap, out)
+            level = self._next_level(level, queries, e_min, m_top)
+        return out
 
-    def _count_leaves(self, nodes, merged, m_cap, out) -> None:
-        """Add the weighted leaves below every node to ``out``, slot by slot."""
-        V, W, C, P = nodes
-        unsliced = self.width - 1
-        # residues with the same merged options share one prime array; per
-        # exponent e, the (meets, weight) options it carries
+    def _queries(self, merged) -> list[tuple[int, np.ndarray, list[tuple[int, int]]]]:
+        """(exponent e, primes, [(meets, weight), ...]) per option group, by e.
+
+        Residues with the same merged options share one prime array.
+        """
         by_opts: dict[tuple, list[int]] = {}
         for r, opts in merged.items():
             by_opts.setdefault(opts, []).append(r)
-        queries: list[tuple[int, np.ndarray, list[tuple[int, int]]]] = []
+        queries = []
         for opts, rs in by_opts.items():
             arr = self.primes_of(tuple(sorted(rs)))
             for e in sorted({e for e, _, _ in opts}):
                 queries.append((e, arr, [(f, w) for e2, w, f in opts if e2 == e]))
         queries.sort(key=lambda qu: qu[0])
+        return queries
+
+    def _next_level(self, level, queries, e_min: int, m_top: int):
+        """Every internal profile one tame prime past ``level``, as arrays.
+
+        A level is (value, weight, class 2*m + wild_meets, largest tame
+        prime, 0 at a root).  From value v the prime p past the node's last
+        prime with option e gives an internal profile while
+        v * p**(e + e_min) < t_max and its meet count m stays within m_top.
+        """
+        V, W, C, P = level
+        w_top = max(w for _, _, fw in queries for _, w in fw)
+        if W.dtype != object and int(W.max()) * w_top >= _INT64_BOUND:
+            self.warn("a frontier weight could pass int64")
+            W = W.astype(object)
+        M = C >> 1
+        q = (self.ctx.t_max - 1) // V
+        cap = self.ctx.plimit + 1
+        parts = []
+        for e, arr, fw in queries:
+            lo = np.searchsorted(arr, P, side="right")
+            n = np.searchsorted(arr, _iroot(q, e + e_min, cap), side="right") - lo
+            np.maximum(n, 0, out=n)
+            for f, w in fw:
+                cnt = np.where(M + f <= m_top, n, 0)
+                total = int(cnt.sum())
+                if not total:
+                    continue
+                node = np.repeat(np.arange(len(V)), cnt)
+                # child j of a node takes the prime at lo + j
+                p = arr[np.arange(total) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)]
+                pe = p.astype(object) ** e if V.dtype == object else p**e
+                parts.append((V[node] * pe, W[node] * w, C[node] + 2 * f, p))
+        if not parts:
+            return tuple(a[:0] for a in (V, W, C, P))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    def _count_leaves(self, level, queries, m_cap, out) -> None:
+        """Add the weighted leaves below every node of ``level`` to ``out``."""
+        V, W, C, P = level
+        unsliced = self.width - 1
         order = np.argsort(C, kind="stable")
         classes, firsts = np.unique(C[order], return_index=True)
         ends = firsts[1:].tolist() + [len(order)]
@@ -627,10 +644,10 @@ def convolution_table(
 
     A second, independent route to the table ``enumerate_census`` builds:
     hom mass from the counted-leaf kernel (only internal profiles are
-    visited; the leaf primes below each one are counted by binary search),
-    sur mass from the subgroup recursion applied to whole slot arrays.
-    Memory stays O(tame primes + internal nodes), so truncations far past
-    10^8 are counted exactly.
+    visited, level by level; the leaf primes below each one are counted by
+    binary search), sur mass from the subgroup recursion applied to whole
+    slot arrays.  Memory stays O(tame primes + the widest level), so
+    truncations far past 10^8 are counted exactly.
     """
     ctx = CensusContext(
         G, x, omega, bound=Fraction(bound), checkpoints=checkpoints,

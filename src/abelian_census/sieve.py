@@ -124,7 +124,7 @@ def _paths(directory: Path, limit: int) -> tuple[Path, Path]:
 
 
 def _digest(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+    return hashlib.sha256(memoryview(np.ascontiguousarray(arr))).hexdigest()
 
 
 def load_prime_table(
@@ -179,7 +179,7 @@ def _try_load(directory: Path, limit: int) -> PrimeTable | None:
     ):
         log.warning("prime cache for limit %d failed validation; rebuilding", limit)
         return None
-    return PrimeTable(limit=limit, primes=primes.astype(np.int64))
+    return PrimeTable(limit=limit, primes=primes.astype(np.int64, copy=False))
 
 
 def _store(directory: Path, table: PrimeTable) -> None:

@@ -6,6 +6,7 @@ import logging
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import abelian_census as ac
@@ -142,6 +143,37 @@ def test_convolution_table_equals_the_walk(factors, xs, om_classes):
         assert S.convolution_table(G, x, om, bound) == ac.enumerate_census(G, x, om, bound)
 
 
+@pytest.mark.parametrize(
+    "factors,xs,om_classes",
+    [
+        ((2, 2), [1, F(3, 2), F(3, 2)], [0, 2]),  # scaled exponents 2 and 3
+        ((3, 3), [1, F(3, 2), 2, 1], [0, 3]),
+        ((8,), [1, F(3, 2), 2], [0, 2]),
+    ],
+)
+def test_every_slice_call_equals_the_walk(factors, xs, om_classes):
+    # a call for one gamma prunes internal profiles past it, slice by slice
+    G = ac.make_group(factors)
+    x = ac.make_params(G, xs)
+    om = ac.omega_from_classes(G, om_classes)
+    bound = F(3000)
+    walk = ac.enumerate_census(G, x, om, bound)
+    cps = walk.checkpoints
+    for mode in ("hom", "sur"):
+        for g in range(walk.gamma_cap + 2):
+            pairs = S.convolution_counts(G, x, om, bound, checkpoints=cps, gamma=g, mode=mode)
+            assert pairs == [(X, walk.slice_count(mode, ci, g)) for ci, X in enumerate(cps)]
+
+
+def test_leaf_kernel_reads_the_usable_primes_in_place():
+    G = ac.make_group((2,))
+    x = ac.make_params(G, [1])
+    ctx = ac.CensusContext(G, x, ac.validate_omega(G, []), bound=F(10**4))
+    kernel = S._LeafKernel(ctx)
+    assert np.shares_memory(kernel.primes_of((1,)), np.frombuffer(ctx.primes, dtype=np.int64))
+    assert kernel.primes_of((1,)).tolist() == list(ctx.primes)
+
+
 # -- the convolution engine's guards ------------------------------------------------------
 
 
@@ -168,6 +200,26 @@ def test_leaf_sums_do_not_wrap_int64(caplog):
         assert row[-1] == walk.unsliced_count("hom", ci)
     assert walk.max_nonzero_gamma() >= 2
     assert "fall back to Python ints" in caplog.text
+
+
+def test_frontier_weights_past_int64_are_announced(caplog):
+    # tame weights of 2**62 pass int64 on the second tame prime, so the
+    # level-by-level frontier turns its weights into Python ints and says so
+    G = ac.make_group((2,))
+    x = ac.make_params(G, [1])
+    om = ac.validate_omega(G, [1])
+    bound = Fraction(3000)
+    walk = ac.enumerate_census(G, x, om, bound)
+    ctx = ac.CensusContext(G, x, om, bound=bound)
+    ctx.tame_options_by_residue = {
+        r: tuple((e, 1 << 62, meets, sid) for e, _, meets, sid in opts)
+        for r, opts in ctx.tame_options_by_residue.items()
+    }
+    with caplog.at_level(logging.WARNING, logger="abelian_census.series"):
+        rows = S._slot_rows(ctx, ("hom",), 2)["hom"]
+    assert "a frontier weight could pass int64" in caplog.text
+    for ci, row in enumerate(rows):
+        assert row[:3] == [walk.slice_count("hom", ci, g) << (62 * g) for g in range(3)]
 
 
 def test_thresholds_past_int64_are_counted_exactly(caplog):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -108,3 +109,9 @@ def test_no_cache_mode_leaves_directory_empty(tmp_path, monkeypatch):
     table = sieve.load_prime_table(500, use_cache=False)
     assert table.count() == 95
     assert list(tmp_path.iterdir()) == []
+
+
+def test_digest_of_a_strided_slice_hashes_its_bytes():
+    arr = sieve.sieve_primes(1_000)[3:90:2]
+    assert not arr.flags.c_contiguous
+    assert sieve._digest(arr) == hashlib.sha256(arr.tobytes()).hexdigest()
