@@ -432,6 +432,22 @@ def _plot_text(table: CensusTable, mode: str, fit: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path: Path | str, text: str) -> None:
+    """Replace ``path`` by ``text`` through a temp file in the same directory.
+
+    A write that fails part way leaves the previous file as it was and no
+    temp file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _task_key(task: tuple[int, int]) -> str:
     return f"{task[0]}:{task[1]}"
 
@@ -443,7 +459,7 @@ def _write_resume(path: Path, cfg: RunConfig, completed: dict) -> None:
             _task_key(task): [ds, dh] for task, (ds, dh) in sorted(completed.items())
         },
     }
-    path.write_text(json.dumps(data, sort_keys=True))
+    _write_atomic(path, json.dumps(data, sort_keys=True))
 
 
 def _int_rows(diff) -> bool:
@@ -590,13 +606,11 @@ def _emit(
         "json": f"{cfg.out}.json",
         "manifest": f"{cfg.out}.manifest.json",
     }
-    Path(paths["csv"]).write_text(_csv_text(table, cfg))
-    Path(paths["plot"]).write_text(_plot_text(table, primary, fits[primary]))
-    Path(paths["json"]).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
-    Path(paths["manifest"]).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_atomic(paths["csv"], _csv_text(table, cfg))
+    _write_atomic(paths["plot"], _plot_text(table, primary, fits[primary]))
+    _write_atomic(paths["json"], json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_atomic(
+        paths["manifest"], json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
     return paths
 
@@ -702,7 +716,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         f"summatory={series.summatory()}\n"
     )
     if args.series_out:
-        Path(args.series_out).write_text(header + text)
+        _write_atomic(args.series_out, header + text)
         print(f"wrote {args.series_out}")
     else:
         sys.stdout.write(header + text)

@@ -27,13 +27,14 @@ its context, so they read no prime table of their own.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from heapq import merge
-from math import gcd, log, prod
+from math import gcd, isqrt, log, prod
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -75,6 +76,8 @@ def integer_nth_root(n: int, k: int) -> int:
         raise ValueError("k must be >= 1")
     if n in (0, 1) or k == 1:
         return n
+    if k == 2:
+        return isqrt(n)
     x = 1 << ((n.bit_length() + k - 1) // k)  # upper-ish start for Newton
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
@@ -462,7 +465,6 @@ class CensusContext:
             chosen = candidates[usable[candidates % N]]
         chosen = np.ascontiguousarray(chosen, dtype=np.int64)
         self.primes.frombytes(memoryview(chosen).cast("B"))
-        self._join_memo: dict[tuple[int, int], int] = {}
 
     # -- wild combinations -------------------------------------------------
 
@@ -482,20 +484,10 @@ class CensusContext:
                 v *= pe
                 w *= wt
                 meets = meets or m
-                jid = self.join(jid, sid)
+                jid = self.G.join_id(jid, sid)
         if v >= self.t_max:
             return None
         return v, w, jid, meets
-
-    def join(self, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        key = (a, b)
-        hit = self._join_memo.get(key)
-        if hit is None:
-            hit = self.G.join_id(a, b)
-            self._join_memo[key] = hit
-        return hit
 
     def tasks(self) -> list[tuple[int, int]]:
         """Deterministic task list covering the whole profile tree once."""
@@ -534,6 +526,12 @@ def walk_task(
     ``visit(v, w, gamma_tame, wild_meets, join_id)`` is called once per
     profile with value below the largest threshold.  Raises
     ResourceCapError once more than ``node_budget`` nodes are visited.
+
+    Each node splits its children's primes once.  With lim = (t_max-1)//v,
+    the primes with p^e_min <= lim carry children; those that also have
+    p^(2*e_min) <= lim come first and may be extended, and every child at a
+    later prime p is a leaf, since a further prime q > p would give
+    v*p^e*q^e_min > v*p^(2*e_min) > t_max - 1.
     """
     combo_index, bucket = task
     combo = ctx.wild_combo(combo_index)
@@ -549,42 +547,61 @@ def walk_task(
         return 0
     t_max = ctx.t_max
     primes = ctx.primes
-    N = ctx.G.order
-    rows = tuple(ctx.tame_options_by_residue.get(r, ()) for r in range(N))
+    G = ctx.G
+    N = G.order
     n = len(primes)
-    join_memo = ctx._join_memo
-    group_join = ctx.G.join_id
+    cap = sys.maxsize if node_budget is None else node_budget
+    base = tuple(ctx.tame_options_by_residue.get(r, ()) for r in range(N))
+    # per parent join id: the option rows per residue, the child's join id
+    # filled in as (e, weight, meets, join(parent, image))
+    joined: dict[int, tuple] = {}
     nodes = 0
 
-    def rec(indices: range, v: int, w: int, g: int, jid: int) -> None:
+    def tripped() -> ResourceCapError:
+        return ResourceCapError(f"node budget {node_budget} exceeded in task {task}")
+
+    def rec(lo: int, step: int, v: int, w: int, g: int, jid: int) -> None:
         nonlocal nodes
-        for i in indices:
+        lim = (t_max - 1) // v
+        stop = bisect_right(primes, integer_nth_root(lim, e_min), lo)
+        split = bisect_right(primes, integer_nth_root(lim, 2 * e_min), lo, stop)
+        rows = joined.get(jid)
+        if rows is None:
+            rows = joined[jid] = tuple(
+                tuple((e, wt, meets, G.join_id(jid, hid)) for e, wt, meets, hid in opts)
+                for opts in base
+            )
+        for i in range(lo, split, step):
             p = primes[i]
-            if v * p**e_min >= t_max:
-                break
-            for e, wt, meets, hid in rows[p % N]:
-                v2 = v * p**e
-                if v2 >= t_max:
+            # a child with p^e <= ext has a next prime that still fits
+            ext = lim // primes[i + 1] ** e_min if i + 1 < n else 0
+            for e, wt, meets, jid2 in rows[p % N]:
+                pe = p**e
+                if pe > lim:
                     break
                 nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    raise ResourceCapError(
-                        f"node budget {node_budget} exceeded in task {task}"
-                    )
-                key = (jid, hid) if jid <= hid else (hid, jid)
-                jid2 = join_memo.get(key)
-                if jid2 is None:
-                    jid2 = group_join(*key)
-                    join_memo[key] = jid2
+                if nodes > cap:
+                    raise tripped()
+                v2 = v * pe
                 w2 = w * wt
                 g2 = g + meets
                 visit(v2, w2, g2, wm0, jid2)
-                # a leaf: no later prime fits, so do not recurse
-                if i + 1 < n and v2 * primes[i + 1] ** e_min < t_max:
-                    rec(range(i + 1, n), v2, w2, g2, jid2)
+                if pe <= ext:
+                    rec(i + 1, 1, v2, w2, g2, jid2)
+        # the leaf run: keep the task's stride from the first index >= split
+        for i in range(split + (lo - split) % step, stop, step):
+            p = primes[i]
+            for e, wt, meets, jid2 in rows[p % N]:
+                pe = p**e
+                if pe > lim:
+                    break
+                nodes += 1
+                if nodes > cap:
+                    raise tripped()
+                visit(v * pe, w * wt, g + meets, wm0, jid2)
 
     # the task's bucket fixes the first tame prime's position mod TASK_BUCKETS
-    rec(range(bucket, n, TASK_BUCKETS), v0, w0, 0, jid0)
+    rec(bucket, TASK_BUCKETS, v0, w0, 0, jid0)
     return nodes
 
 

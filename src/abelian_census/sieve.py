@@ -102,12 +102,6 @@ class PrimeTable:
         cut = int(np.searchsorted(self.primes, bound, side="right"))
         return self.primes[:cut]
 
-    def residues(self, modulus: int) -> np.ndarray:
-        """Residue-class tag of every prime modulo ``modulus``."""
-        if modulus < 1:
-            raise CacheError("residue modulus must be positive")
-        return self.primes % modulus
-
 
 def _cache_dir(explicit: str | os.PathLike | None) -> Path:
     if explicit is not None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +156,20 @@ def test_run_census_writes_all_outputs(tmp_path, monkeypatch):
     plot = (tmp_path / "run.plot.csv").read_text().splitlines()
     assert plot[0] == "x,count,fitted"
     assert len(plot) == 1 + len(cfg.checkpoints)
+
+
+@pytest.mark.parametrize("builder,kind", [("_csv_text", "csv"), ("_plot_text", "plot")])
+def test_a_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, builder, kind):
+    monkeypatch.setenv("ABELIAN_CENSUS_CACHE", str(tmp_path / "cache"))
+    cfg = _cfg(tmp_path)
+    path = Path(cli.run_census(cfg)["paths"][kind])
+    before = path.read_bytes()
+    # a lone surrogate cannot be encoded, so the write fails part way
+    monkeypatch.setattr(cli, builder, lambda *args: "x,count\n\ud800\n")
+    with pytest.raises(UnicodeEncodeError):
+        cli.run_census(cfg)
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob(".*.tmp"))
 
 
 def test_identical_bytes_across_worker_counts(tmp_path, monkeypatch):

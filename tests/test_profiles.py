@@ -258,6 +258,41 @@ def _smoke_args():
     return G, x, om, Fraction(2000)
 
 
+def test_walk_task_counts_each_visited_profile():
+    ctx = P.CensusContext(*_smoke_args())
+    for task in ctx.tasks():
+        seen = []
+        assert P.walk_task(ctx, task, lambda *node: seen.append(node)) == len(seen)
+
+
+@pytest.mark.parametrize("bound,nodes", [(2000, 18_527), (20_000, 266_303)])
+def test_walk_node_counts_on_the_smoke_config(bound, nodes):
+    G, x, om, _ = _smoke_args()
+    ctx = P.CensusContext(G, x, om, bound=Fraction(bound))
+    assert sum(P.walk_task(ctx, task, lambda *node: None) for task in ctx.tasks()) == nodes
+
+
+def test_node_budget_trips_on_the_next_node_in_both_prime_loops():
+    ctx = P.CensusContext(*_smoke_args())
+    task = (0, 0)
+    full = []
+    P.walk_task(ctx, task, lambda *node: full.append(node))
+    for budget in range(1, 401):
+        seen = []
+        with pytest.raises(ResourceCapError):
+            P.walk_task(ctx, task, lambda *node: seen.append(node), budget)
+        assert seen == full[:budget]
+
+    def in_leaf_run(v: int) -> bool:
+        # the node's last prime p^e joined a parent whose lim leaves no room
+        # for p^(2*e_min): no child at p can be extended
+        p, e = P.IndexValue.from_scaled(v, ctx.scale, ctx.primes).exponents[-1]
+        return p ** (2 * ctx.e_min_tame) > (ctx.t_max - 1) // (v // p**e)
+
+    # node budget + 1 is the one that trips the cap
+    assert {in_leaf_run(full[budget][0]) for budget in range(1, 401)} == {True, False}
+
+
 def test_thread_count_does_not_change_results():
     G, x, om, bound = _smoke_args()
     serial = ac.enumerate_census(G, x, om, bound)

@@ -50,14 +50,6 @@ def test_up_to_slices_and_guards():
         pt.up_to(101)
 
 
-def test_residues_match_direct_mod():
-    pt = sieve.PrimeTable(1_000, sieve.sieve_primes(1_000))
-    for m in (1, 2, 4, 6, 12):
-        assert np.array_equal(pt.residues(m), pt.primes % m)
-    with pytest.raises(CacheError):
-        pt.residues(0)
-
-
 def test_validate_accepts_good_table_and_rejects_tampered():
     pt = sieve.PrimeTable(1_000, sieve.sieve_primes(1_000))
     assert sieve.validate_prime_table(pt) == 168
